@@ -10,9 +10,9 @@ cacheable and concurrently schedulable:
 * **generate** — ask the generator for the next program.  Stays serial:
   the feedback loop (triggering programs re-seed the generator) makes
   program *i+1* depend on the verdict for program *i*.
-* **frontend** — parse / sema / lower once per target kind
-  (:class:`~repro.toolchains.base.CompilerKind`); host compilers share the
-  C parse, the device compiler gets the CUDA translation.
+* **frontend** — parse / sema / lower / fingerprint once; every
+  :class:`~repro.toolchains.base.CompilerKind`, the device compiler
+  included, gets the same kernel.
 * **compile** — one :class:`CompileRecord` per (compiler, level).  Work is
   deduplicated two ways: levels whose (pipeline, environment) coincide
   share one compilation (``Compiler.cache_token``), and a campaign-wide
@@ -99,7 +99,6 @@ from repro.toolchains.cache import (
     kernel_fingerprint,
     scalar_env_fingerprint,
 )
-from repro.toolchains.cuda import translate_to_cuda
 from repro.toolchains.optlevels import OptLevel
 from repro.utils.timing import Stopwatch
 
@@ -327,32 +326,25 @@ class _BinaryRun:
 
 
 def frontend_kernels(source: str) -> FrontendRecord:
-    """Front-end ``source`` once per target kind (§2.4).
+    """Front-end ``source`` once, for host and device compilers alike (§2.4).
 
-    Host compilers share the C parse/sema/lowering; the device compiler
-    gets the CUDA translation of the same unit.  A front-end failure for a
-    kind fails all its compilations, recorded per-kind in ``errors``.
-    Shared by the engine's frontend stage and by the triage subsystem
-    (reduction re-validation and pass-pipeline bisection replay).
+    The device compiler's CUDA translation only marks ``compute``
+    ``__global__`` and turns its call into a launch; no later layer reads
+    either, so the translated unit lowers to the same kernel (a property
+    test holds the translation to that).  Both kinds share one kernel and
+    fingerprint; a front-end failure fails every compilation, recorded
+    per kind in ``errors``.  Shared by the engine's frontend stage and by
+    the triage subsystem (reduction re-validation and pass-pipeline
+    bisection replay).
     """
-    record = FrontendRecord()
     try:
-        unit = parse_program(source)
-        sema = check_program(unit)
-        record.kernels[CompilerKind.HOST] = lower_compute(sema)
+        kernel = lower_compute(check_program(parse_program(source)))
     except ReproError as e:
-        record.errors[CompilerKind.HOST] = str(e)
-        record.errors.setdefault(CompilerKind.DEVICE, str(e))
-        return record
-    try:
-        cuda_unit = translate_to_cuda(unit)
-        cuda_sema = check_program(cuda_unit)
-        record.kernels[CompilerKind.DEVICE] = lower_compute(cuda_sema)
-    except ReproError as e:
-        record.errors[CompilerKind.DEVICE] = str(e)
-    for kind, kernel in record.kernels.items():
-        record.fingerprints[kind] = kernel_fingerprint(kernel)
-    return record
+        return FrontendRecord(errors=dict.fromkeys(CompilerKind, str(e)))
+    return FrontendRecord(
+        kernels=dict.fromkeys(CompilerKind, kernel),
+        fingerprints=dict.fromkeys(CompilerKind, kernel_fingerprint(kernel)),
+    )
 
 
 def _check_replay(

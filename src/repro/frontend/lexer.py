@@ -4,14 +4,58 @@ Preprocessor lines are not expanded: ``#include <...>`` directives are
 collected (the sema stage enforces the paper's header allow-list) and any
 other directive is rejected — the generators never need macros, and
 rejecting them keeps candidate programs analysable.
+
+The scanner is one compiled master regex: each match is one token, or one
+run of trivia, led by any blanks and named by the group that matched.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import LexError
 from repro.frontend.tokens import KEYWORDS, PUNCTUATORS, Token, TokenKind
 
 __all__ = ["Lexer", "tokenize", "LexResult"]
+
+#: Stand-ins for non-ASCII characters, so the regex can stay ASCII while
+#: classifying them as ``str.isalpha``/``isdigit``/``isalnum`` do:
+#: ``_ALNUM`` (``\x80``) may only continue an identifier, and ``_OTHER`` is
+#: an unexpected character.
+_ALPHA, _DIGIT, _ALNUM, _OTHER = "a", "0", "\x80", "\x81"
+
+#: A string literal without its closing quote (an escape may span a newline).
+_STRING_BODY = r'"(?:[^"\\\n]|\\[\s\S])*'
+
+_MASTER = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_\x80]*)"
+    r"|(?P<comment>//[^\n]*|/\*[\s\S]*?\*/)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in PUNCTUATORS) + r")"
+    r"|(?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fF]?"
+    r"|[0-9]+[eE][+-]?[0-9]+[fF]?)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<newline>\n)"
+    r"|(?P<string>" + _STRING_BODY + r'")'
+    r'|(?P<open_string>")'
+    r"|(?P<directive>\#[^\n]*)"
+    r"|(?P<end>\Z)"
+    r"|(?P<other>[\s\S]))"
+)
+
+#: Runs an unterminated string literal up to where the scan stops.
+_STRING_PREFIX = re.compile(_STRING_BODY)
+
+_LITERAL_KINDS = {"int": TokenKind.INT_LIT, "float": TokenKind.FLOAT_LIT}
+
+
+def _stand_in(c: str) -> str:
+    if c.isalpha():
+        return _ALPHA
+    if c.isdigit():
+        return _DIGIT
+    return _ALNUM if c.isalnum() else _OTHER
 
 
 class LexResult:
@@ -25,168 +69,74 @@ class LexResult:
 class Lexer:
     def __init__(self, source: str) -> None:
         self._src = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
         self.includes: list[str] = []
 
-    # -- low-level cursor ----------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self._pos + offset
-        return self._src[i] if i < len(self._src) else ""
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self._pos < len(self._src):
-                if self._src[self._pos] == "\n":
-                    self._line += 1
-                    self._col = 1
-                else:
-                    self._col += 1
-                self._pos += 1
-
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self._line, self._col)
-
-    # -- skipping -------------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        while True:
-            c = self._peek()
-            if not c:
-                return
-            if c in " \t\r\n":
-                self._advance()
-            elif c == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif c == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if not self._peek():
-                        raise self._error("unterminated block comment")
-                    self._advance()
-                self._advance(2)
-            elif c == "#" and self._col == 1:
-                self._directive()
-            else:
-                return
-
-    def _directive(self) -> None:
-        start_line = self._line
-        text = []
-        while self._peek() and self._peek() != "\n":
-            text.append(self._peek())
-            self._advance()
-        line = "".join(text).strip()
-        if line.startswith("#include"):
-            rest = line[len("#include"):].strip()
+    def _directive(self, text: str, line: int) -> None:
+        text = text.strip()
+        if text.startswith("#include"):
+            rest = text[len("#include"):].strip()
             if (rest.startswith("<") and rest.endswith(">")) or (
                 rest.startswith('"') and rest.endswith('"')
             ):
                 self.includes.append(rest[1:-1].strip())
                 return
-            raise LexError(f"malformed include: {line!r}", start_line, 1)
-        raise LexError(f"unsupported preprocessor directive: {line!r}", start_line, 1)
-
-    # -- token scanners ---------------------------------------------------------
-
-    def _ident(self) -> Token:
-        line, col = self._line, self._col
-        chars = []
-        while self._peek().isalnum() or self._peek() == "_":
-            chars.append(self._peek())
-            self._advance()
-        text = "".join(chars)
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, col)
-
-    def _number(self) -> Token:
-        line, col = self._line, self._col
-        chars = []
-        is_float = False
-        # integer part
-        while self._peek().isdigit():
-            chars.append(self._peek())
-            self._advance()
-        if self._peek() == ".":
-            is_float = True
-            chars.append(".")
-            self._advance()
-            while self._peek().isdigit():
-                chars.append(self._peek())
-                self._advance()
-        if self._peek() in "eE":
-            nxt = self._peek(1)
-            nxt2 = self._peek(2)
-            if nxt.isdigit() or (nxt in "+-" and nxt2.isdigit()):
-                is_float = True
-                chars.append(self._peek())
-                self._advance()
-                if self._peek() in "+-":
-                    chars.append(self._peek())
-                    self._advance()
-                while self._peek().isdigit():
-                    chars.append(self._peek())
-                    self._advance()
-        # suffixes: f/F (float), u/l ignored for ints
-        if self._peek() in "fF" and is_float:
-            chars.append(self._peek())
-            self._advance()
-        text = "".join(chars)
-        if not text or text == ".":
-            raise self._error("malformed numeric literal")
-        kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-        return Token(kind, text, line, col)
-
-    def _string(self) -> Token:
-        line, col = self._line, self._col
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            c = self._peek()
-            if not c or c == "\n":
-                raise self._error("unterminated string literal")
-            if c == '"':
-                self._advance()
-                break
-            if c == "\\":
-                chars.append(c)
-                self._advance()
-                chars.append(self._peek())
-                self._advance()
-                continue
-            chars.append(c)
-            self._advance()
-        return Token(TokenKind.STRING_LIT, "".join(chars), line, col)
-
-    def _punct(self) -> Token:
-        line, col = self._line, self._col
-        for p in PUNCTUATORS:
-            if self._src.startswith(p, self._pos):
-                self._advance(len(p))
-                return Token(TokenKind.PUNCT, p, line, col)
-        raise self._error(f"unexpected character {self._peek()!r}")
-
-    # -- driver --------------------------------------------------------------------
+            raise LexError(f"malformed include: {text!r}", line, 1)
+        raise LexError(f"unsupported preprocessor directive: {text!r}", line, 1)
 
     def run(self) -> LexResult:
+        src = self._src
+        scan = src
+        if not src.isascii():
+            # Same length, so match positions index ``src`` unchanged.
+            scan = src.translate({ord(c): _stand_in(c) for c in set(src) if c > "\x7f"})
         tokens: list[Token] = []
-        while True:
-            self._skip_trivia()
-            c = self._peek()
-            if not c:
-                tokens.append(Token(TokenKind.EOF, "", self._line, self._col))
-                return LexResult(tokens, self.includes)
-            if c.isalpha() or c == "_":
-                tokens.append(self._ident())
-            elif c.isdigit() or (c == "." and self._peek(1).isdigit()):
-                tokens.append(self._number())
-            elif c == '"':
-                tokens.append(self._string())
+        append = tokens.append
+        line, line_start = 1, 0
+        ident, keyword, punct = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT
+        new = tuple.__new__
+        for m in _MASTER.finditer(scan):
+            kind = m.lastgroup
+            start, end = m.span(kind)
+            col = start - line_start + 1
+            if kind == "ident":
+                text = src[start:end]
+                append(new(Token, (keyword if text in KEYWORDS else ident, text, line, col)))
+            elif kind == "punct":
+                append(new(Token, (punct, src[start:end], line, col)))
+            elif kind == "newline":
+                line += 1
+                line_start = end
+            elif kind in _LITERAL_KINDS:
+                append(new(Token, (_LITERAL_KINDS[kind], src[start:end], line, col)))
+            elif kind == "string" or kind == "comment":
+                if kind == "string":
+                    append(new(Token, (TokenKind.STRING_LIT, src[start + 1:end - 1], line, col)))
+                breaks = src.count("\n", start, end)
+                if breaks:
+                    line += breaks
+                    line_start = src.rindex("\n", start, end) + 1
+            elif kind == "directive" and col == 1:
+                self._directive(src[start:end], line)
+            elif kind == "end":
+                append(new(Token, (TokenKind.EOF, "", line, col)))
+                break
+            elif kind == "open_comment":
+                raise self._error("unterminated block comment", line, line_start, len(src))
+            elif kind == "open_string":
+                stop = _STRING_PREFIX.match(scan, start).end()
+                if stop < len(src) and src[stop] == "\\":
+                    stop = len(src)  # the escape ran off the end
+                raise self._error("unterminated string literal", line, line_start, stop)
             else:
-                tokens.append(self._punct())
+                raise LexError(f"unexpected character {src[start]!r}", line, col)
+        return LexResult(tokens, self.includes)
+
+    def _error(self, message: str, line: int, line_start: int, pos: int) -> LexError:
+        breaks = self._src.count("\n", line_start, pos)
+        if breaks:
+            line += breaks
+            line_start = self._src.rindex("\n", line_start, pos) + 1
+        return LexError(message, line, pos - line_start + 1)
 
 
 def tokenize(source: str) -> LexResult:

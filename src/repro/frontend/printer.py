@@ -227,8 +227,9 @@ def print_cuda(unit: ast.TranslationUnit) -> str:
     """Render the CUDA translation of a host program (§2.4).
 
     ``compute`` becomes ``__global__ void`` and the call site in ``main``
-    becomes a single-block single-thread kernel launch followed by a device
-    synchronize.
+    becomes a single-block single-thread kernel launch,
+    ``compute<<<1,1>>>(...)``.  Nothing else changes: no device
+    synchronize is emitted.
     """
     w = _Writer()
     for h in unit.includes:

@@ -319,6 +319,8 @@ class SemanticChecker:
                     raise SemaError("modulo by constant zero")
                 return self._set_type(expr, INT)
             if expr.op in ("+", "-", "*", "/"):
+                if not (lt.is_scalar and rt.is_scalar):
+                    raise SemaError(f"operator {expr.op!r} requires scalar operands")
                 if expr.op == "/" and isinstance(expr.right, ast.IntLit) and (
                     expr.right.value == 0 and lt.is_int and rt.is_int
                 ):
@@ -330,6 +332,8 @@ class SemanticChecker:
             self._require_scalar(expr.cond, "ternary condition")
             tt = self._check_expr(expr.then, scope, assigned)
             ot = self._check_expr(expr.other, scope, assigned)
+            self._require_scalar(expr.then, "ternary operand")
+            self._require_scalar(expr.other, "ternary operand")
             return self._set_type(expr, common_arith_type(tt, ot))
         if isinstance(expr, ast.Index):
             base_t = self._check_expr(expr.base, scope, assigned)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -73,8 +73,13 @@ PUNCTUATORS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
+    """One token.  Immutable, and equal only to a token with equal fields.
+
+    A tuple underneath, so the lexer builds one with a single
+    ``tuple.__new__`` call.
+    """
+
     kind: TokenKind
     text: str
     line: int
@@ -85,6 +90,14 @@ class Token:
 
     def is_keyword(self, text: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text == text
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Token and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.name}, {self.text!r}, {self.line}:{self.column})"

@@ -1,9 +1,12 @@
 """C -> CUDA translation utilities (paper §2.4).
 
 The textual translation lives in :func:`repro.frontend.printer.print_cuda`;
-this module packages it with the round-trip used by the compilation driver:
-the device compiler receives the translated source, re-parses it, and
-compiles the same ``compute`` kernel with device semantics.
+this module packages it with a re-parse, as a real pipeline would hand
+nvcc a file.  Campaigns do not run it: the translation changes nothing the
+later layers read, so the device compiler compiles the kernel lowered from
+the host unit (see ``difftest.engine.frontend_kernels``), and
+``tests/toolchains/test_cuda_identity.py`` checks that the translated unit
+lowers to that same kernel.
 """
 
 from __future__ import annotations

@@ -116,6 +116,26 @@ class TestTyping:
                 "int main() { double d[2] = {1.0, 2.0}; compute(d); return 0; }"
             )
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("b + a", r"operator '\+' requires scalar operands"),
+            ("a * b", r"operator '\*' requires scalar operands"),
+            ("a > 0.0 ? b : a", "ternary operand must be scalar, got double\\[5\\]"),
+            ("a > 0.0 ? a : b", "ternary operand must be scalar, got double\\[5\\]"),
+            ("a[0]", "cannot index a value of type double"),
+        ],
+    )
+    def test_non_scalar_operands_are_sema_errors(self, expr, message):
+        # a SemaError, not a TypeError from the type helpers: generators
+        # and the mutator discard candidates on ReproError only
+        with pytest.raises(SemaError, match=message):
+            check(
+                "void compute(double a) { double b[5] = {0.0, 0.0, 0.0, 0.0, 0.0};"
+                f" double c = {expr}; }}"
+                "int main() { compute(1.0); return 0; }"
+            )
+
     def test_static_oob_rejected(self):
         with pytest.raises(SemaError, match="out of bounds"):
             check(

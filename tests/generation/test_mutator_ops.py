@@ -180,3 +180,17 @@ class TestRecencyBias:
     def test_empty_raises(self):
         with pytest.raises(LookupError):
             SuccessSet(SplittableRng(1)).sample()
+
+
+class TestCampaignRegressions:
+    def test_array_operand_mutation_does_not_abort_the_campaign(self, tmp_path):
+        # Program 10 of this campaign is mutated into an expression that
+        # combines a double[5] with a double.  Sema must reject it with a
+        # SemaError, which the mutator catches, instead of a TypeError
+        # that ended the whole campaign.
+        from repro.cli import main
+
+        path = tmp_path / "llm4fp.jsonl"
+        argv = ["run", "--approach", "llm4fp", "--seed", "11004", "--budget", "11"]
+        assert main([*argv, "--backend", "serial", "--quiet", "--resume", str(path)]) == 0
+        assert len(path.read_text().splitlines()) == 1 + 11
